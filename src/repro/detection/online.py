@@ -173,7 +173,9 @@ class ICLStreamingDetector(StreamingDetectorBase):
         # With a shared PrefixCachePool (explicit, or the engine's), many
         # detectors and engines reuse each other's template/prefix prefills;
         # otherwise the detector keeps its private per-job prefix cache.
-        self._scorer = PrefixCachedScorer(engine.model, pool=pool or engine.cache_pool)
+        if pool is None:  # an empty pool is falsy but still the caller's
+            pool = engine.cache_pool
+        self._scorer = PrefixCachedScorer(engine.model, pool=pool)
 
     # ------------------------------------------------------------------ #
     def stream(self, record: JobRecord) -> Iterator[StreamingPrediction]:

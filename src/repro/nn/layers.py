@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor, functional as F, is_grad_enabled
 from repro.utils.rng import new_rng
 
 __all__ = ["Linear", "Embedding", "LayerNorm", "Dropout", "GELU", "ReLU", "Tanh"]
@@ -115,7 +115,9 @@ class Dropout(Module):
         self.rng = new_rng(rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.rng, training=self.training)
+        # Inference entry points run under ``no_grad`` (thread-local), so a
+        # model left in train mode still decodes deterministically.
+        return F.dropout(x, self.p, self.rng, training=self.training and is_grad_enabled())
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Dropout(p={self.p})"

@@ -60,11 +60,13 @@ def bias_probe(
             [EMPTY_SENTENCE], max_length=trainer.config.max_length
         )
         for _ in range(runs):
-            from repro.tensor import no_grad, functional as F
+            from repro.tensor import functional as F
 
-            with no_grad():
-                logits = trainer.model(ids, mask)
-                probabilities.append(F.softmax(logits, axis=-1).data[0])
+            # Grad mode stays on: dropout only draws masks in a
+            # grad-enabled forward (``no_grad`` marks inference).  The
+            # recorded graph is simply dropped.
+            logits = trainer.model(ids, mask)
+            probabilities.append(F.softmax(logits, axis=-1).data[0])
         probs = np.stack(probabilities)
     finally:
         trainer.model.train(was_training)

@@ -17,6 +17,7 @@ from repro.icl import FewShotSelector, ICLEngine
 from repro.models.config import get_config
 from repro.models.decoder import DecoderLM, PrefixCachedScorer, common_prefix_length
 from repro.nn import KVCache
+from repro.serving import ContinuousBatchingEngine, EngineConfig
 from repro.tensor import no_grad
 
 VOCAB = 43
@@ -229,6 +230,52 @@ class TestDecoderRngIsolation:
         # produce next (regression test for the shared rngs[2] bug).
         first_layer_dropout = model.decoder.layers[0].attention.attn_dropout.rng
         assert model.embedding_dropout.rng is not first_layer_dropout
+
+
+class TestTrainModeInference:
+    """Regression: a model left in train mode must decode deterministically.
+
+    Dropout draws masks only in a grad-enabled forward; every inference
+    entry point runs under ``no_grad``, so ``generate`` and the engine (any
+    KV layout/dtype) repeat their greedy output while training forwards
+    still drop activations.
+    """
+
+    def _engine_outputs(self, model, prompts, **kv):
+        config = EngineConfig(max_batch_rows=2, **kv)
+        engine = ContinuousBatchingEngine(model, config=config)
+        for prompt in prompts:
+            engine.submit(prompt, max_new_tokens=8)
+        return [request.result for request in engine.drain()]
+
+    def test_greedy_decoding_repeats_after_train(self):
+        config = get_config("gpt2").scaled(max_position=MAX_POS)
+        assert config.dropout > 0
+        model = DecoderLM(config, vocab_size=VOCAB, rng=5).train()
+        rng = np.random.default_rng(8)
+        prompts = [rng.integers(1, VOCAB, size=n) for n in (5, 9, 3)]
+
+        first = model.generate(prompts[0], max_new_tokens=8)
+        np.testing.assert_array_equal(model.generate(prompts[0], max_new_tokens=8), first)
+        for kwargs in (
+            {},
+            {"kv_layout": "paged"},
+            {"kv_layout": "paged", "kv_dtype": "int8"},
+        ):
+            once = self._engine_outputs(model, prompts, **kwargs)
+            again = self._engine_outputs(model, prompts, **kwargs)
+            for a, b in zip(once, again):
+                np.testing.assert_array_equal(a, b, err_msg=str(kwargs))
+        assert model.training
+
+        # Training forwards (grad enabled) still draw fresh dropout masks.
+        ids = prompts[1][None, :]
+        np.testing.assert_raises(
+            AssertionError,
+            np.testing.assert_array_equal,
+            model(ids).data,
+            model(ids).data,
+        )
 
 
 class TestCachedEngineMatchesReference:

@@ -276,7 +276,7 @@ class TestLockstepParity:
                 vv = random_kv(rng, dense.batch_size, 1)
                 for layer_d, layer_p in zip(dense.layers, paged.layers):
                     dk, dv = layer_d.append(kv, vv)
-                    pk, pv = layer_p.append(kv, vv)
+                    pk, pv = layer_p.append(kv, vv).gather_kv()
                     for row, start in enumerate(starts):
                         np.testing.assert_array_equal(
                             pk[row, :, start:], dk[row, :, start:]
@@ -351,7 +351,7 @@ class TestLockstepParity:
             np.testing.assert_array_equal(k_clone[:, :prefix], kv[0, :, :prefix])
             np.testing.assert_array_equal(k_clone[:, prefix:], extra[0])
 
-        # Persisting the clone (flush + drop the workspace) must hand back
+        # Persisting the clone (flush + drop the tail buffer) must hand back
         # the identical bytes from the block store.
         clone.release_workspace()
         assert not clone.layers[0].has_workspace
@@ -426,8 +426,8 @@ class TestBlockSharing:
         extra = np.ones((6, NUM_HEADS, 1, HEAD_DIM), np.float32)
         for layer in expanded.layers:
             layer.append(extra, extra)
-        # Appends land in the workspace; persisting the rows is what splits
-        # each row's (full, shared) tail block copy-on-write.
+        # Appends land in the tail buffer; persisting the rows is what
+        # splits each row's (full, shared) tail block copy-on-write.
         assert allocator.blocks_in_use == in_use
         expanded.release_workspace()
         assert allocator.blocks_in_use == in_use + 6 * NUM_LAYERS
@@ -436,9 +436,9 @@ class TestBlockSharing:
         assert allocator.blocks_in_use == 0
 
     def test_int8_flush_echoes_stored_values_into_workspace(self):
-        """Once a position is persisted, its workspace value IS the
-        dequantized stored value — reads never depend on whether the
-        workspace was rebuilt from the blocks."""
+        """Once a position is persisted, the owner reads the dequantized
+        stored value — the same bytes it reads after dropping its tail
+        buffer — so reads never depend on when the tail was released."""
         rng = np.random.default_rng(3)
         kv = random_kv(rng, 1, 2 * BLOCK_SIZE + 1)
         allocator = BlockAllocator(
@@ -461,10 +461,7 @@ class TestBlockSharing:
         assert allocator.blocks_in_use == 0
 
     @pytest.mark.parametrize("kv_dtype", ["fp32", "int8"])
-    @pytest.mark.parametrize("native", [False, True])
-    def test_midblock_rollback_then_append_claims_shared_tail_block(
-        self, kv_dtype, native
-    ):
+    def test_midblock_rollback_then_append_claims_shared_tail_block(self, kv_dtype):
         """Regression (speculative rollback): rolling a row back *into* a
         partially filled, CoW-shared tail block and then appending must not
         write that block in place — ``truncate_row`` defers the re-claim to
@@ -477,7 +474,7 @@ class TestBlockSharing:
         allocator = BlockAllocator(
             NUM_HEADS, HEAD_DIM, block_size=BLOCK_SIZE, kv_dtype=kv_dtype
         )
-        donor = PagedKVCache(1, 1, allocator, CAPACITY, native=native)
+        donor = PagedKVCache(1, 1, allocator, CAPACITY)
         for layer in donor.layers:
             layer.append(kv, -kv)
         donor.release_workspace()  # persist: three blocks, sole owner
@@ -512,6 +509,40 @@ class TestBlockSharing:
         np.testing.assert_array_equal(ck[:, : width - 1], donor_k[:, : width - 1])
         clone.release()
         donor.release()
+        assert allocator.blocks_in_use == 0
+
+    def test_prefill_flush_is_deferred_to_the_next_append(self):
+        """A multi-block fp32 prefill stays in its tail buffer while its own
+        attention reads it (zero blocks claimed, the window equal to the
+        dense cache's and handed out without a copy); the next append
+        persists it byte-identically before storing its own position."""
+        rng = np.random.default_rng(12)
+        width = 2 * BLOCK_SIZE + 3
+        kv = random_kv(rng, 1, width)
+        allocator = BlockAllocator(NUM_HEADS, HEAD_DIM, block_size=BLOCK_SIZE)
+        dense = KVCache(1, 1, NUM_HEADS, HEAD_DIM, CAPACITY)
+        paged = PagedKVCache(1, 1, allocator, CAPACITY)
+        layer = paged.layers[0]
+
+        dk, dv = dense.layers[0].append(kv, -kv)
+        view = layer.append(kv, -kv)
+        assert allocator.blocks_in_use == 0
+        pk, pv = view.gather_kv()
+        np.testing.assert_array_equal(pk, dk)
+        np.testing.assert_array_equal(pv, dv)
+        assert np.shares_memory(pk, view.gather_kv()[0])  # zero-copy tail views
+
+        extra = random_kv(rng, 1, 1)
+        dk, dv = dense.layers[0].append(extra, extra)
+        pk, pv = layer.append(extra, extra).gather_kv()
+        assert allocator.blocks_in_use == 3
+        assert layer.flushed[0] == width
+        block_k, block_v = allocator.read_positions(layer.tables[0], 0, width)
+        np.testing.assert_array_equal(block_k, kv[0])
+        np.testing.assert_array_equal(block_v, -kv[0])
+        np.testing.assert_array_equal(pk, dk)
+        np.testing.assert_array_equal(pv, dv)
+        paged.release()
         assert allocator.blocks_in_use == 0
 
     def test_pool_byte_budget_counts_shared_blocks_once(self, model):

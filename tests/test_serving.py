@@ -23,7 +23,9 @@ import pytest
 from parity import assert_generations_equal, assert_logits_close
 from repro.models import DecoderLM, get_config
 from repro.models.decoder import PrefixCachedScorer, left_pad_batch
-from repro.serving import BatchScheduler, PrefixCachePool
+from repro.detection import ICLStreamingDetector
+from repro.icl import ICLEngine
+from repro.serving import AsyncEngine, BatchScheduler, EngineConfig, PrefixCachePool
 from repro.tensor import Tensor, no_grad
 
 VOCAB = 64
@@ -311,6 +313,25 @@ class TestPrefixCachePool:
 # ---------------------------------------------------------------------- #
 # batch scheduler
 # ---------------------------------------------------------------------- #
+class TestCallerPoolIsUsed:
+    def test_empty_caller_pool_is_not_replaced_by_a_default(self, model, tokenizer):
+        """Regression: an empty :class:`PrefixCachePool` is falsy (it defines
+        ``__len__``); every constructor must still use the caller's pool
+        rather than silently swapping in the process-wide default."""
+        pool = PrefixCachePool(model, kv_layout="paged", max_bytes=1 << 20)
+        assert len(pool) == 0 and not pool
+        config = EngineConfig(kv_layout="paged")
+        with AsyncEngine(model, config=config, cache_pool=pool) as engine:
+            assert engine.cache_pool is pool
+            assert engine.engine.cache_pool is pool
+        with BatchScheduler(model, config=config, cache_pool=pool) as scheduler:
+            assert scheduler.cache_pool is pool
+            assert scheduler.aio.cache_pool is pool
+        icl = ICLEngine(model, tokenizer)
+        detector = ICLStreamingDetector(icl, pool=pool)
+        assert detector._scorer.pool is pool
+
+
 class TestBatchScheduler:
     def test_results_in_submit_order_and_match_direct_calls(self, model, ragged_prompts):
         scheduler = BatchScheduler(
