@@ -8,12 +8,13 @@ metrics of Table IV (probability mass assigned to "Abnormal").
 
 Scoring is built on the incremental-inference subsystem: both category
 continuations are evaluated off one forward over the shared prompt, the
-few-shot example block shared by every query of a batch is prefilled into a
-KV cache exactly once, and the per-query remainders are scored as one
-right-padded batch instead of a batch-size-1 loop.  ``use_cache=False``
-restores the original recompute-everything behaviour (useful as a reference
-for correctness and performance comparisons — the two paths agree to float32
-tolerance).
+few-shot example block shared by every query of a batch is formatted,
+tokenized and prefilled into a KV cache exactly once, and the per-query
+remainders are scored as one right-padded batch instead of a batch-size-1
+loop.  ``use_cache=False`` restores the original recompute-everything
+behaviour, encoding each full prompt string on its own (useful as a
+reference for correctness and performance comparisons — the two paths agree
+to float32 tolerance).
 """
 
 from __future__ import annotations
@@ -258,9 +259,14 @@ class ICLEngine:
             examples = selector.select(num_examples)
         if not self.use_cache:
             return [self.classify(query, examples) for query in queries]
+        # The head is tokenized once for the batch; ``build_head`` documents
+        # why its ids followed by a tail's equal the full prompt's.
+        head = self.tokenizer.encode_causal(self.template.build_head(examples))
         prompts = [
-            self.tokenizer.encode_causal(self.template.build(query, examples))
-            for query in queries
+            np.concatenate(
+                [head, self.tokenizer.encode_causal(self.template.build_tail(q), add_bos=False)]
+            )
+            for q in queries
         ]
         return [self.prediction_from_scores(scores) for scores in self._score_prompts_batched(prompts)]
 

@@ -104,12 +104,16 @@ class PromptTemplate:
     include_task_description: bool = True
     extra_instructions: list[str] = field(default_factory=list)
 
-    def build(
-        self,
-        query: JobRecord | str,
-        examples: Sequence[tuple[JobRecord | str, int]] = (),
-    ) -> str:
-        """Assemble the full prompt string for one query job."""
+    def build_head(self, examples: Sequence[tuple[JobRecord | str, int]] = ()) -> str:
+        """The part of the prompt shared by every query given ``examples``.
+
+        It holds the task description, the extra instructions and the example
+        block, each followed by a newline, so ``build_head(examples) +
+        build_tail(query) == build(query, examples)``.  Every part ends in
+        whitespace, which no token spans, so the head also tokenizes
+        separately from the tail: a batch over one example set tokenizes it
+        once.  Empty when the prompt is only the query (zero-shot, compact).
+        """
         parts = []
         if self.include_task_description:
             parts.append(
@@ -122,10 +126,23 @@ class PromptTemplate:
             parts.append(self.example_header)
             for example, label in examples:
                 parts.append(format_example(example, label, with_category=True))
-        parts.append(format_example(query, with_category=False))
+        return "".join(part + "\n" for part in parts)
+
+    def build_tail(self, query: JobRecord | str) -> str:
+        """The per-query rest of the prompt: the unlabeled query, plus the
+        step-by-step line under chain of thought."""
+        tail = format_example(query, with_category=False)
         if self.chain_of_thought:
-            parts.append("Please think about it step by step.")
-        return "\n".join(parts)
+            tail += "\nPlease think about it step by step."
+        return tail
+
+    def build(
+        self,
+        query: JobRecord | str,
+        examples: Sequence[tuple[JobRecord | str, int]] = (),
+    ) -> str:
+        """Assemble the full prompt string for one query job."""
+        return self.build_head(examples) + self.build_tail(query)
 
 
 def build_prompt(

@@ -62,11 +62,13 @@ class NumericBinner:
             return "<num|zero>"
         sign = "-" if value < 0 else "+"
         mag = abs(value)
-        exponent = int(np.floor(np.log10(mag)))
-        exponent = int(np.clip(exponent, self.min_exponent, self.max_exponent))
+        # Builtin min/max: np.clip on Python scalars costs more than the rest.
+        # Clipping before int() also bins a literal that overflows to inf
+        # (e.g. "1.798e+308") into the top decade instead of raising.
+        exponent = int(min(max(np.floor(np.log10(mag)), self.min_exponent), self.max_exponent))
         mantissa = mag / (10.0**exponent)
         # mantissa in [1, 10): map to bins_per_decade equal log-spaced sub-bins
-        frac = np.log10(np.clip(mantissa, 1.0, 10.0 - 1e-12))
+        frac = np.log10(min(max(mantissa, 1.0), 10.0 - 1e-12))
         sub_bin = int(frac * self.bins_per_decade)
         sub_bin = min(sub_bin, self.bins_per_decade - 1)
         return f"<num|{sign}e{exponent}|b{sub_bin}>"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.icl import (
     CATEGORY_ABNORMAL,
@@ -18,7 +19,7 @@ from repro.icl import (
     build_task_description,
     format_example,
 )
-from repro.tokenization.templates import JobRecord
+from repro.tokenization.templates import FEATURE_ORDER, JobRecord
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,101 @@ class TestPrompts:
         assert "system administration bot" not in compact
         full = PromptTemplate().build(record())
         assert "system administration bot" in full
+
+
+def _build_as_one_join(template, query, examples):
+    """``PromptTemplate.build`` as first written: one newline join of every part."""
+    parts = []
+    if template.include_task_description:
+        parts.append(
+            build_task_description(
+                template.feature_names, ask_category_only=not template.chain_of_thought
+            )
+        )
+    parts.extend(template.extra_instructions)
+    if examples:
+        parts.append(template.example_header)
+        for example, label in examples:
+            parts.append(format_example(example, label, with_category=True))
+    parts.append(format_example(query, with_category=False))
+    if template.chain_of_thought:
+        parts.append("Please think about it step by step.")
+    return "\n".join(parts)
+
+
+_FEATURE_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=False),
+    st.sampled_from([-3.5, -0.0, 1e15, -2.5e20, 1.7976931348623157e308, float("nan")]),
+)
+_RECORDS = st.builds(
+    JobRecord,
+    features=st.dictionaries(st.sampled_from(FEATURE_ORDER), _FEATURE_VALUES),
+    label=st.sampled_from([None, 0, 1]),
+)
+_JOBS = st.one_of(_RECORDS, st.text(max_size=40))
+
+
+class TestPromptHeadTail:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        include_task_description=st.booleans(),
+        chain_of_thought=st.booleans(),
+        extra_instructions=st.lists(st.text(max_size=20), max_size=3),
+        examples=st.lists(st.tuples(_JOBS, st.sampled_from([0, 1])), max_size=8),
+        query=_JOBS,
+    )
+    def test_head_plus_tail_is_the_prompt_in_text_and_ids(
+        self, tokenizer, include_task_description, chain_of_thought, extra_instructions,
+        examples, query,
+    ):
+        template = PromptTemplate(
+            chain_of_thought=chain_of_thought,
+            include_task_description=include_task_description,
+            extra_instructions=extra_instructions,
+        )
+        prompt = template.build(query, examples)
+        assert prompt == _build_as_one_join(template, query, examples)
+        head = tokenizer.encode_causal(template.build_head(examples))
+        tail = tokenizer.encode_causal(template.build_tail(query), add_bos=False)
+        np.testing.assert_array_equal(
+            np.concatenate([head, tail]), tokenizer.encode_causal(prompt)
+        )
+
+    def test_zero_shot_compact_head_is_empty(self):
+        assert PromptTemplate(include_task_description=False).build_head() == ""
+
+    @pytest.mark.parametrize(
+        "template,num_examples",
+        [
+            (PromptTemplate(chain_of_thought=True, include_task_description=False), 4),
+            (PromptTemplate(chain_of_thought=True), 2),
+            (PromptTemplate(include_task_description=False), 0),
+        ],
+        ids=["cot-compact", "cot-full", "zero-shot"],
+    )
+    def test_classify_batch_matches_uncached_reference(
+        self, registry, small_dataset, template, num_examples
+    ):
+        model = registry.load_decoder("gpt2").eval()
+        cached = ICLEngine(model, registry.tokenizer, template)
+        reference = ICLEngine(model, registry.tokenizer, template, use_cache=False)
+        queries = small_dataset.test.subsample(6, rng=3).records
+        pool = small_dataset.train.records[:100]
+        got, want = (
+            engine.classify_batch(
+                queries,
+                selector=FewShotSelector(pool, mode="mixed", seed=4),
+                num_examples=num_examples,
+            )
+            for engine in (cached, reference)
+        )
+        assert [p.label for p in got] == [p.label for p in want]
+        np.testing.assert_allclose(
+            [(p.log_prob_normal, p.log_prob_abnormal) for p in got],
+            [(p.log_prob_normal, p.log_prob_abnormal) for p in want],
+            rtol=1e-5,
+            atol=1e-6,
+        )
 
 
 class TestFewShotSelector:

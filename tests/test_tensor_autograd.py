@@ -74,6 +74,17 @@ class TestElementwiseGradients:
         expected = (x > 0).astype(np.float32)
         np.testing.assert_allclose(t.grad, expected)
 
+    def test_gelu_forward_matches_float64_tanh_gelu(self):
+        x = np.concatenate([np.linspace(-10, 10, 20001), [0.0, -0.0]]).astype(np.float32)
+        got = Tensor(x).gelu().data
+        xd = x.astype(np.float64)
+        want = 0.5 * xd * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (xd + 0.044715 * xd**3)))
+        assert got.dtype == np.float32
+        # The absolute floor covers the left tail, where float32 ``1 + tanh``
+        # cancels (a few 1e-8 times |x|) in any float32 formulation.
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=3e-7)
+        np.testing.assert_array_equal(np.signbit(got[-2:]), [False, True])
+
     def test_log_and_sqrt_gradients(self):
         x = np.abs(np.random.default_rng(1).normal(size=(5,))) + 0.5
         np.testing.assert_allclose(

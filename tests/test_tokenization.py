@@ -122,6 +122,49 @@ class TestNumericBinner:
         binner = NumericBinner()
         assert binner.bin(value) == binner.bin(value)
 
+    @staticmethod
+    def _bin_with_np_clip(binner, value):
+        """The binner as first written, clipping with ``np.clip``."""
+        if value is None or (isinstance(value, float) and np.isnan(value)):
+            return "<num|nan>"
+        value = float(value)
+        if value == 0.0:
+            return "<num|zero>"
+        sign = "-" if value < 0 else "+"
+        mag = abs(value)
+        exponent = int(np.floor(np.log10(mag)))
+        exponent = int(np.clip(exponent, binner.min_exponent, binner.max_exponent))
+        mantissa = mag / (10.0**exponent)
+        frac = np.log10(np.clip(mantissa, 1.0, 10.0 - 1e-12))
+        sub_bin = int(frac * binner.bins_per_decade)
+        sub_bin = min(sub_bin, binner.bins_per_decade - 1)
+        return f"<num|{sign}e{exponent}|b{sub_bin}>"
+
+    @pytest.mark.parametrize(
+        "binner",
+        [NumericBinner(), NumericBinner(bins_per_decade=3, min_exponent=0, max_exponent=5)],
+    )
+    def test_builtin_clips_match_np_clip(self, binner):
+        magnitudes = [5e-324, 1e-300, 3e-7, 1e-3, 0.009999]  # below 1e-2
+        magnitudes += [1.5e13, 2e20, 1e300, 1.7976931348623157e308]  # above 1e12
+        for k in range(-6, 16):
+            magnitudes.append(10.0**k)  # exact powers of ten
+            for j in range(1, binner.bins_per_decade):
+                magnitudes.append(10.0 ** (k + j / binner.bins_per_decade))  # sub-bin edges
+        # The float on each side of every value, where a bin edge is decided.
+        magnitudes += [np.nextafter(m, d) for m in list(magnitudes) for d in (0.0, np.inf)]
+        values = [0.0, -0.0, None, float("nan")]
+        values += [s * float(m) for m in magnitudes for s in (1.0, -1.0) if 0 < m < np.inf]
+        for value in values:
+            assert binner.bin(value) == self._bin_with_np_clip(binner, value), value
+
+    def test_overflowing_literal_bins_into_top_decade(self):
+        binner = NumericBinner()
+        assert binner.bin(float("1.798e+308")) == "<num|+e12|b3>"
+        assert binner.bin(float("-inf")) == "<num|-e12|b3>"
+        tok = LogTokenizer(Vocabulary(binner.all_tokens()), binner)
+        assert tok.tokenize("runtime is 1.798e+308") == ["runtime", "is", "<num|+e12|b3>"]
+
 
 class TestVocabulary:
     def test_special_tokens_present_and_stable(self):
